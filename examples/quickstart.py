@@ -53,7 +53,9 @@ def main() -> None:
 
     # 3. Look under the hood: the engine compiled several candidate
     #    rewrites and executed the one with the lowest optimizer cost.
-    decision = engine.rewrite(query)
+    #    It remembers the winner, so a repeat of the query plans only
+    #    that one; a fresh engine shows the whole race.
+    decision = DeferredCleansingEngine(db, registry).rewrite(query)
     print(f"\nchosen rewrite: {decision.chosen.label}")
     for candidate in decision.candidates:
         print(f"  candidate {candidate.label:<12} "

@@ -76,10 +76,10 @@ def workbench_for(settings: ExperimentSettings,
                   ) -> Workbench:
     """Cached workbench for the given settings and rule set.
 
-    Setting ``REPRO_WORKERS`` (or the deprecated ``REPRO_PARALLEL``
-    alias) to a worker count ≥ 2 lets the planner shard large segments
-    across the persistent pool for every experiment run in this
-    process; unset or ``0`` keeps the serial executor.
+    Setting ``REPRO_WORKERS`` to a worker count ≥ 2 lets the planner
+    shard large segments across the persistent pool for every
+    experiment run in this process; unset or ``0`` keeps the serial
+    executor.
     """
     from repro.minidb.parallel import configured_worker_count
 

@@ -21,6 +21,14 @@ path and diffs canonicalized row bags against the naive strategy
 ``eager``                 materialize Φ_C(R) up front, query the copy
 ``plan-cache``            the eager query re-run through the prepared-
                           plan cache (hit must reproduce the miss)
+``prepared``              the cleansed query run twice on one engine
+                          over a prefix of the rows: the repeat must
+                          replay the remembered rewrite decision (a
+                          memo hit) and match naive; after an append
+                          it must still match; after the rest is
+                          appended and the last rule dropped and
+                          redefined, the re-run must race again (a
+                          memo miss)
 ``parallel``              naive re-run with shard-parallel execution
                           forced on (threshold lowered, 2 workers)
 ``vectorized``            naive re-run under batch execution with a
@@ -101,8 +109,8 @@ __all__ = ["ALL_LABELS", "Divergence", "OracleReport", "run_case",
 #: Every comparison the oracle can run, in execution order.
 ALL_LABELS = ("expanded", "joinback", "chosen", "cached-cold",
               "cached-warm", "cached-invalidated", "eager", "plan-cache",
-              "parallel", "vectorized", "encoded", "compiled", "sharded",
-              "incremental", "disk", "served")
+              "prepared", "parallel", "vectorized", "encoded", "compiled",
+              "sharded", "incremental", "disk", "served")
 
 _READS_SCHEMA = TableSchema.of(
     ("epc", SqlType.VARCHAR),
@@ -336,6 +344,58 @@ def run_case(case: FuzzCase,
             return result.canonical()
 
         compare("plan-cache", plan_cache_hit)
+
+    def prepared() -> tuple[tuple, ...]:
+        # Rewrite-decision replay: the remembered winner must stay a
+        # correct rewrite as rows arrive, and a rule-set change must
+        # force a fresh race. Mid-stream answers are diffed against a
+        # naive run over the same table state (as in ``incremental``);
+        # the final state holds exactly the case's rows, so compare()
+        # also diffs the last answer against the global baseline.
+        rows = list(case.reads_rows)
+        if not rows:
+            raise RewriteError("empty dataset; nothing to stream")
+        split = max(1, (2 * len(rows)) // 3)
+        prep_db, prep_registry = build_database(case,
+                                                reads_rows=rows[:split])
+        prep_engine = DeferredCleansingEngine(prep_db, prep_registry)
+
+        def run(expect: str | None) -> tuple[tuple, ...]:
+            result, metrics, _ = prep_engine.execute_with_metrics(sql)
+            outcome = {(1, 0): "hit", (0, 1): "miss"}.get(
+                (metrics.plan_cache_hits, metrics.plan_cache_misses))
+            if outcome is None:
+                raise RewriteError("query bypasses the decision memo")
+            if expect is not None and outcome != expect:
+                raise AssertionError(
+                    f"rewrite decision memo {outcome}, expected {expect}")
+            return result.canonical()
+
+        def check(got: tuple[tuple, ...], stage: str) -> None:
+            fresh = DeferredCleansingEngine(prep_db, prep_registry)
+            expected = fresh.execute(sql, strategies={"naive"}).canonical()
+            if got != expected:
+                missing, unexpected = _diff(expected, got)
+                raise AssertionError(
+                    f"prepared answer diverged {stage}: {len(missing)} "
+                    f"missing, {len(unexpected)} unexpected rows vs "
+                    "naive over the same state")
+
+        run("miss")
+        check(run("hit"), "on the replayed decision")
+        remainder = rows[split:]
+        mid = (len(remainder) + 1) // 2
+        if remainder[:mid]:
+            prep_db.append("caser", remainder[:mid])
+            check(run(None), "after an append")
+        if remainder[mid:]:
+            prep_db.append("caser", remainder[mid:])
+        last = prep_registry.rules_for("caser")[-1]
+        prep_registry.drop(last.name)
+        prep_registry.define(last.rule)
+        return run("miss")
+
+    compare("prepared", prepared)
 
     def parallel() -> tuple[tuple, ...]:
         options = PlannerOptions(parallel_windows=True)

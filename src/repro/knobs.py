@@ -36,7 +36,6 @@ KNOWN_KNOBS: dict[str, str] = {
     "REPRO_CODEGEN": "enable fused-kernel query compilation",
     "REPRO_CODEGEN_DUMP": "directory to dump generated kernel source",
     "REPRO_WORKERS": "shard-pool worker count (0 disables)",
-    "REPRO_PARALLEL": "deprecated alias for REPRO_WORKERS",
     "REPRO_STORAGE": "default storage mode: memory or disk",
     "REPRO_BUFFER_PAGES": "buffer-pool capacity in pages",
     "REPRO_PAGE_SIZE": "on-disk page size in bytes",

@@ -63,7 +63,9 @@ class ExecutionMetrics:
     #: on this to prove the parallel path was exercised, not skipped).
     parallel_window_ops: int = 0
     #: Prepared-plan cache counters for the call that produced these
-    #: metrics (filled in by ``Database.execute_with_metrics``).
+    #: metrics (filled in by ``Database.execute_with_metrics``; the
+    #: rewrite engine's ``execute_with_metrics`` counts its remembered
+    #: rewrite decisions here instead).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     #: Columnar chunks emitted across all operators; 0 when the plan ran
@@ -483,8 +485,12 @@ class Database:
             query = parse_select(query)
         return build_plan(query, self.catalog)
 
-    def _fingerprint(self, options: PlannerOptions) -> tuple:
+    def fingerprint(self, options: PlannerOptions | None = None) -> tuple:
         """The staleness key guarding prepared-plan reuse.
+
+        Statistics are computed first for any table that has none, so
+        the key is the one planning will see. The rewrite engine keys
+        its remembered candidate choices on the same tuple.
 
         The worker count and shard threshold participate because the
         shard pass changes the plan *shape* with them: a plan cached
@@ -498,6 +504,8 @@ class Database:
         trickle appends precisely so prepared plans stay warm). Schema
         epochs still participate: a new index should trigger replanning.
         """
+        self._ensure_stats()
+        options = options or self.options
         return (self.catalog.version, self.stats.version,
                 tuple(table.schema_epoch for table in self.catalog),
                 tuple(sorted(vars(options).items())),
@@ -532,10 +540,9 @@ class Database:
         unchanged. A cache hit returns the same plan object with its
         execution counters reset.
         """
-        self._ensure_stats()
         effective = options or self.options
         if isinstance(query, str):
-            fingerprint = self._fingerprint(effective)
+            fingerprint = self.fingerprint(effective)
             cached = self.plan_cache.plan(query, fingerprint)
             if cached is not None:
                 return cached
@@ -550,6 +557,7 @@ class Database:
             self._arm_exchanges(plan, logical, effective)
             self.plan_cache.remember_plan(query, fingerprint, plan)
             return plan
+        self._ensure_stats()
         planner = Planner(self.catalog, self.stats, self.cost_model,
                           effective)
         logical = self._to_logical(query)

@@ -30,8 +30,7 @@ when the fingerprint moves. A spawn therefore happens once per *database
 state*, not once per query; ``Database.pool_spawns`` / ``pool_reuses``
 pin that invariant in tests.
 
-Worker count comes from ``REPRO_WORKERS`` (0 or unset disables;
-``REPRO_PARALLEL`` is honoured as a deprecated alias).
+Worker count comes from ``REPRO_WORKERS`` (0 or unset disables).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import multiprocessing
 import os
 import pickle
 import queue
-import warnings
 from typing import Any, Sequence
 
 from repro.minidb.plan.shard import segment_scan
@@ -67,31 +65,14 @@ class ShardDispatchError(RuntimeError):
     """A worker reported an error (or timed out) during a dispatch."""
 
 
-#: One-shot latch for the REPRO_PARALLEL deprecation warning: emitted the
-#: first time the alias is actually *read* (i.e. REPRO_WORKERS unset and
-#: REPRO_PARALLEL set), never again in the same process.
-_alias_warning_emitted = False
-
-
 def configured_worker_count() -> int:
     """Shard-pool size from ``REPRO_WORKERS``; 0 (the default) disables.
 
-    ``REPRO_PARALLEL`` is read as a deprecated alias when
-    ``REPRO_WORKERS`` is unset (emitting a one-shot
-    ``DeprecationWarning``). Junk values disable; a positive integer
-    pins the count. Unlike the retired fork-per-query pool, parallelism
-    is opt-in: unset means serial.
+    Junk values disable; a positive integer pins the count. Unlike the
+    retired fork-per-query pool, parallelism is opt-in: unset means
+    serial.
     """
-    global _alias_warning_emitted
     env = os.environ.get("REPRO_WORKERS")
-    if env is None:
-        env = os.environ.get("REPRO_PARALLEL")  # deprecated alias
-        if env is not None and not _alias_warning_emitted:
-            _alias_warning_emitted = True
-            warnings.warn(
-                "REPRO_PARALLEL is deprecated; set REPRO_WORKERS instead "
-                "(it configured the retired fork-per-query window pool)",
-                DeprecationWarning, stacklevel=2)
     if env is None:
         return 0
     try:

@@ -12,12 +12,17 @@ cleansing rules, enumerates the correct candidate rewrites —
 — compiles every candidate through the minidb planner, and executes the
 one with the cheapest cost estimate, exactly mirroring the paper's
 m+1 / n+1 statement-selection heuristic on DB2.
+
+The winner's label is remembered per statement text, rule-set version
+and planner fingerprint, so a repeated query under an unchanged catalog,
+statistics and rule set builds and plans only that one candidate.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import RewriteError
 from repro.minidb.codegen import cache_stats
@@ -56,6 +61,10 @@ from repro.sqlts.registry import RuleRegistry
 
 __all__ = ["DeferredCleansingEngine", "RewriteResult", "Candidate"]
 
+#: Remembered rewrite decisions per engine (the prepared-plan cache's
+#: default capacity).
+DECISION_MEMO_SIZE = 256
+
 
 @dataclass
 class Candidate:
@@ -71,7 +80,11 @@ class Candidate:
 
 @dataclass
 class RewriteResult:
-    """The engine's decision for one query."""
+    """The engine's decision for one query.
+
+    When the decision was replayed from the engine's memo, ``candidates``
+    holds only the replayed winner.
+    """
 
     strategy: str
     chosen: Candidate
@@ -100,6 +113,12 @@ class DeferredCleansingEngine:
         self.region_cache = (CleansingRegionCache(database, cache)
                              if cache is not None and cache.enabled
                              else None)
+        #: (statement SQL, strategies, rule-set version, plan
+        #: fingerprint) -> winning candidate label. Only the label is
+        #: kept: a repeat rebuilds and plans that one candidate.
+        self._decisions: OrderedDict[tuple, str] = OrderedDict()
+        self.decision_hits = 0
+        self.decision_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -134,6 +153,18 @@ class DeferredCleansingEngine:
 
     # ------------------------------------------------------------------
 
+    def _parse(self, query: str | SelectStmt) -> SelectStmt:
+        """The statement for *query*, parsing text through the
+        database's AST cache."""
+        if not isinstance(query, str):
+            return query
+        cache = self.database.plan_cache
+        statement = cache.parsed(query)
+        if statement is None:
+            statement = parse_select(query)
+            cache.remember_parsed(query, statement)
+        return statement
+
     def rewrite(self, query: str | SelectStmt,
                 strategies: set[str] | None = None) -> RewriteResult:
         """Produce the cheapest correct rewrite of *query*.
@@ -141,8 +172,13 @@ class DeferredCleansingEngine:
         ``strategies`` optionally restricts which families are considered
         (useful for the benchmark harness: ``{"naive"}``,
         ``{"expanded"}``, ``{"joinback"}``).
+
+        The first rewrite of a statement races every candidate; repeats
+        replay the remembered winner while the rule set and the plan
+        fingerprint (catalog, statistics, schema epochs, planner
+        options, workers, codegen, encoding) are unchanged.
         """
-        statement = parse_select(query) if isinstance(query, str) else query
+        statement = self._parse(query)
         allowed = strategies or {"naive", "expanded", "joinback"}
         referenced = self._referenced_tables(statement)
         dirty = sorted(referenced & self.registry.tables_with_rules())
@@ -167,25 +203,72 @@ class DeferredCleansingEngine:
                 return RewriteResult(strategy="cached", chosen=candidate,
                                      candidates=[candidate],
                                      analysis=analysis, context=context)
-        candidates: list[Candidate] = []
-        if "naive" in allowed:
-            subplan = naive_subplan(self.database, self.registry, rules,
-                                    table_name)
-            candidates.append(self._cost_candidate(
-                "naive", "naive", context, subplan,
-                kept_s=context.s_original))
-        if analysis.feasible and "expanded" in allowed:
-            pushable = self._pushable_dimensions(rules, context)
+        key = (statement.to_sql(), frozenset(strategies or ()),
+               self.registry.version, self.database.fingerprint())
+        label = self._decisions.get(key)
+        if label is not None:
+            family = label.partition("+")[0]
+            for name, strategy, build in self._candidate_builders(
+                    {family}, table_name, rules, context, analysis):
+                if name == label:
+                    self._decisions.move_to_end(key)
+                    self.decision_hits += 1
+                    chosen = self._cost_candidate(name, strategy, context,
+                                                  *build())
+                    return RewriteResult(strategy=strategy, chosen=chosen,
+                                         candidates=[chosen],
+                                         analysis=analysis, context=context)
+        self.decision_misses += 1
+        candidates = [
+            self._cost_candidate(name, strategy, context, *build())
+            for name, strategy, build in self._candidate_builders(
+                allowed, table_name, rules, context, analysis)]
+        if not candidates:
+            raise RewriteError(
+                "no rewrite strategy produced a candidate (did the "
+                "strategy restriction exclude every feasible one?)")
+        chosen = min(candidates, key=lambda candidate: candidate.cost)
+        self._decisions[key] = chosen.label
+        self._decisions.move_to_end(key)
+        while len(self._decisions) > DECISION_MEMO_SIZE:
+            self._decisions.popitem(last=False)
+        return RewriteResult(strategy=chosen.strategy, chosen=chosen,
+                             candidates=candidates, analysis=analysis,
+                             context=context)
+
+    def _candidate_builders(
+            self, families: set[str], table_name: str, rules,
+            context: QueryContext, analysis: ExpandedAnalysis,
+    ) -> Iterator[tuple[str, str, Callable[[], tuple[LogicalNode,
+                                                      list[Expr]]]]]:
+        """(label, strategy, build) for each candidate of *families*.
+
+        ``build()`` returns the candidate's cleansing subplan and the
+        original conjuncts kept above it; nothing is built or planned
+        until it is called, so a replay builds only its one label.
+        """
+        if "naive" in families:
+            yield "naive", "naive", lambda: (
+                naive_subplan(self.database, self.registry, rules,
+                              table_name),
+                context.s_original)
+        if analysis.feasible and "expanded" in families:
             kept = self._residual_originals(context, analysis)
-            for count in range(len(pushable) + 1):
-                label = "expanded" if count == 0 \
-                    else f"expanded+{count}dims"
-                subplan = expanded_subplan(
-                    self.database, self.registry, rules, table_name,
-                    analysis.ec_conjuncts, pushable[:count])
-                candidates.append(self._cost_candidate(
-                    label, "expanded", context, subplan, kept_s=kept))
-        if "joinback" in allowed:
+            yield "expanded", "expanded", lambda: (
+                expanded_subplan(self.database, self.registry, rules,
+                                 table_name, analysis.ec_conjuncts),
+                kept)
+            # Probing each dimension re-runs the analysis, so a replay
+            # of plain "expanded" stops before it.
+            pushable = self._pushable_dimensions(rules, context)
+            for count in range(1, len(pushable) + 1):
+                yield f"expanded+{count}dims", "expanded", \
+                    lambda count=count: (
+                        expanded_subplan(
+                            self.database, self.registry, rules, table_name,
+                            analysis.ec_conjuncts, pushable[:count]),
+                        kept)
+        if "joinback" in families:
             ec = analysis.ec_conjuncts if analysis.feasible else None
             kept = (self._residual_originals(context, analysis)
                     if analysis.feasible else context.s_original)
@@ -205,19 +288,11 @@ class DeferredCleansingEngine:
             for count in range(len(stable_dims) + 1):
                 label = "joinback" if count == 0 \
                     else f"joinback+{count}dims"
-                subplan = joinback_subplan(
-                    self.database, self.registry, rules, table_name,
-                    stable_s, ec, stable_dims[:count])
-                candidates.append(self._cost_candidate(
-                    label, "joinback", context, subplan, kept_s=kept))
-        if not candidates:
-            raise RewriteError(
-                "no rewrite strategy produced a candidate (did the "
-                "strategy restriction exclude every feasible one?)")
-        chosen = min(candidates, key=lambda candidate: candidate.cost)
-        return RewriteResult(strategy=chosen.strategy, chosen=chosen,
-                             candidates=candidates, analysis=analysis,
-                             context=context)
+                yield label, "joinback", lambda count=count: (
+                    joinback_subplan(
+                        self.database, self.registry, rules, table_name,
+                        stable_s, ec, stable_dims[:count]),
+                    kept)
 
     # ------------------------------------------------------------------
 
@@ -241,10 +316,13 @@ class DeferredCleansingEngine:
         patches = cache.patches if cache is not None else 0
         recleaned = cache.sequences_recleaned if cache is not None else 0
         epochs = cache.delta_epochs_applied if cache is not None else 0
+        hits, misses = self.decision_hits, self.decision_misses
         result = self.rewrite(query, strategies)
         plan = result.physical
         rows = materialize(plan)
         metrics = ExecutionMetrics.from_plan(plan)
+        metrics.plan_cache_hits = self.decision_hits - hits
+        metrics.plan_cache_misses = self.decision_misses - misses
         metrics.pool_spawns = self.database.pool_spawns - spawns
         metrics.pool_reuses = self.database.pool_reuses - reuses
         codegen_after = cache_stats()

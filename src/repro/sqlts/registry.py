@@ -51,6 +51,9 @@ class RuleRegistry:
         self._views: dict[str, SelectStmt] = {}
         self._view_sql: dict[str, str] = {}
         self._counter = 0
+        #: Bumped by every change to the rule set or its views; the
+        #: rewrite engine keys its remembered decisions on it.
+        self.version = 0
         if database is not None and RULES_TABLE not in database.catalog:
             database.create_table(RULES_TABLE, RULES_TABLE_SCHEMA)
 
@@ -70,6 +73,7 @@ class RuleRegistry:
         parsed.created_at = self._counter
         compiled = compile_rule(parsed)
         self._rules.append(compiled)
+        self.version += 1
         self._persist(parsed, rule_text, compiled)
         return compiled
 
@@ -79,6 +83,7 @@ class RuleRegistry:
         statement = parse_select(sql)
         self._views[name] = statement
         self._view_sql[name] = sql
+        self.version += 1
 
     def _persist(self, rule: CleansingRule, rule_text: str,
                  compiled: CompiledRule) -> None:
@@ -98,15 +103,33 @@ class RuleRegistry:
 
     # ------------------------------------------------------------------
 
+    def _unpersist(self, dropped: list[CompiledRule]) -> None:
+        """Delete the rules-table rows of *dropped* rules."""
+        if self._database is None or not dropped:
+            return
+        gone = {(compiled.name, compiled.rule.created_at)
+                for compiled in dropped}
+        table = self._database.table(RULES_TABLE)
+        name_at = table.schema.position_of("rule_name")
+        created_at = table.schema.position_of("created_at")
+        table.replace_rows(
+            [row for row in table.scan()
+             if (row[name_at], row[created_at]) not in gone],
+            coerced=True)
+
     def drop(self, name: str) -> None:
         name = name.lower()
-        before = len(self._rules)
-        self._rules = [rule for rule in self._rules if rule.name != name]
-        if len(self._rules) == before:
+        dropped = [rule for rule in self._rules if rule.name == name]
+        if not dropped:
             raise RuleError(f"no rule named {name!r}")
+        self._rules = [rule for rule in self._rules if rule.name != name]
+        self.version += 1
+        self._unpersist(dropped)
 
     def clear(self) -> None:
-        self._rules.clear()
+        dropped, self._rules = self._rules, []
+        self.version += 1
+        self._unpersist(dropped)
 
     def __len__(self) -> int:
         return len(self._rules)

@@ -95,7 +95,6 @@ def test_parity_matrix(sql, monkeypatch):
     identical between codegen on and off within each (workers, batch
     size) cell — including batch size 0, where compiled plans fall
     back to the interpreted scalar path (zero batches either way)."""
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     reference_rows = None
     reference_row_counts = None
     reference_counters = {}

@@ -179,7 +179,6 @@ class TestEncodedParityMatrix:
                              ids=["interp", "codegen"])
     def test_rows_and_explain_identical(self, tmp_path, storage, workers,
                                         codegen, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         monkeypatch.setenv("REPRO_WORKERS", str(workers))
         if workers:
             # The parity dataset sits far below the shard threshold;

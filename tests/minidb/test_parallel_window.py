@@ -6,12 +6,7 @@ be byte-identical to the serial path, and the path must degrade
 gracefully (small inputs, REPRO_WORKERS unset / 0 / junk).
 """
 
-import warnings
-
-import pytest
-
 from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
-from repro.minidb import parallel
 from repro.minidb.parallel import configured_worker_count
 from repro.minidb.plan import shard
 
@@ -43,7 +38,6 @@ def big_rows(partitions=40, per_partition=200):
 
 
 def run(rows, sql, monkeypatch, workers, threshold=None):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     if workers is None:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
     else:
@@ -87,7 +81,6 @@ def test_env_zero_disables_workers(monkeypatch):
 
 
 def test_worker_count_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     monkeypatch.setenv("REPRO_WORKERS", "3")
     assert configured_worker_count() == 3
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
@@ -99,32 +92,9 @@ def test_worker_count_from_env(monkeypatch):
     assert configured_worker_count() == 0
 
 
-def test_deprecated_alias_and_priority(monkeypatch):
-    # Pre-latch the one-shot deprecation warning; it has its own test.
-    monkeypatch.setattr(parallel, "_alias_warning_emitted", True)
+def test_retired_alias_is_ignored(monkeypatch):
+    # REPRO_PARALLEL configured the retired fork-per-query pool; it no
+    # longer sets the worker count.
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.setenv("REPRO_PARALLEL", "2")
-    assert configured_worker_count() == 2
-    # REPRO_WORKERS wins over the alias whenever it is set at all.
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    assert configured_worker_count() == 4
-    monkeypatch.setenv("REPRO_WORKERS", "junk")
     assert configured_worker_count() == 0
-
-
-def test_deprecated_alias_warns_once(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.setenv("REPRO_PARALLEL", "2")
-    monkeypatch.setattr(parallel, "_alias_warning_emitted", False)
-    with pytest.warns(DeprecationWarning, match="REPRO_PARALLEL"):
-        assert configured_worker_count() == 2
-    # One-shot: the second read of the alias is silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert configured_worker_count() == 2
-    # Reading REPRO_WORKERS never warns, even with the alias also set.
-    monkeypatch.setattr(parallel, "_alias_warning_emitted", False)
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert configured_worker_count() == 4

@@ -63,7 +63,6 @@ def run_with_counters(db, sql):
 def test_determinism_across_workers_and_batches(sql, monkeypatch):
     rows = big_rows()
     assert len(rows) >= shard.SHARD_ROW_THRESHOLD
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     reference = None
     for workers in WORKER_COUNTS:
         monkeypatch.setenv("REPRO_WORKERS", str(workers))
@@ -82,7 +81,6 @@ def test_determinism_across_workers_and_batches(sql, monkeypatch):
 
 
 def test_pool_spawned_once_and_reused(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 50)
     db = make_db(big_rows(partitions=10, per_partition=30))
@@ -100,7 +98,6 @@ def test_pool_spawned_once_and_reused(monkeypatch):
 
 
 def test_pool_respawns_after_mutation(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 50)
     rows = big_rows(partitions=10, per_partition=30)
@@ -121,7 +118,6 @@ def test_pool_respawns_after_mutation(monkeypatch):
 
 
 def test_unarmed_or_disabled_exchange_falls_back(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 50)
     rows = big_rows(partitions=10, per_partition=30)
@@ -154,7 +150,6 @@ def test_unarmed_or_disabled_exchange_falls_back(monkeypatch):
 
 
 def test_below_threshold_plans_stay_serial(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     monkeypatch.setenv("REPRO_WORKERS", "2")
     db = make_db(big_rows(partitions=4, per_partition=10))
     try:

@@ -251,7 +251,6 @@ def test_patched_region_byte_identical_to_cold(monkeypatch, workers, batch):
         monkeypatch.setattr(shard, "SHARD_ROW_THRESHOLD", 64)
     else:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
 
     prefix = base_rows(epcs=30, per_epc=10)
     chunks = [

@@ -76,6 +76,41 @@ class TestPersistence:
             f"select created_at from {RULES_TABLE} order by created_at asc")
         assert created.column("created_at") == [1, 2]
 
+    def test_drop_then_redefine_leaves_one_row(self):
+        db = Database()
+        registry = RuleRegistry(db)
+        registry.define(rule_text("r1"))
+        registry.define(rule_text("r2"))
+        registry.drop("r1")
+        registry.define(rule_text("r1"))
+        rows = db.execute(
+            f"select rule_name, created_at from {RULES_TABLE}").rows
+        assert sorted(rows) == [("r1", 3), ("r2", 2)]
+
+    def test_clear_empties_rules_table(self):
+        db = Database()
+        registry = RuleRegistry(db)
+        registry.define(rule_text("r1"))
+        registry.define(rule_text("r2"))
+        registry.clear()
+        assert len(registry) == 0
+        assert len(db.execute(f"select rule_name from {RULES_TABLE}")) == 0
+
+    def test_version_bumps_on_every_rule_set_change(self):
+        registry = RuleRegistry()
+        versions = [registry.version]
+        registry.define(rule_text("r1"))
+        versions.append(registry.version)
+        registry.define_view("v", "select a from t")
+        versions.append(registry.version)
+        registry.drop("r1")
+        versions.append(registry.version)
+        registry.clear()
+        versions.append(registry.version)
+        assert versions == sorted(set(versions))
+        registry.rules_for("t")
+        assert registry.version == versions[-1]
+
     def test_existing_rules_table_reused(self):
         db = Database()
         RuleRegistry(db)
