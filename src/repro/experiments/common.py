@@ -81,14 +81,11 @@ def workbench_for(settings: ExperimentSettings,
     experiment run in this process; unset or ``0`` keeps the serial
     executor.
     """
-    from repro.minidb.parallel import configured_worker_count
 
     base_key = (settings.scale, settings.anomaly_percent, settings.seed)
     base = _WORKBENCHES.get(base_key)
     if base is None:
         base = Workbench.create(settings.config(), rule_names)
-        if configured_worker_count() >= 2:
-            base.database.options.parallel_windows = True
         _WORKBENCHES[base_key] = base
         _WORKBENCHES[base_key + (tuple(rule_names),)] = base
         return base

@@ -43,7 +43,9 @@ path and diffs canonicalized row bags against the naive strategy
 ``compiled``              naive re-run with query compilation forced on
                           (``REPRO_CODEGEN=1``) and batch size 7; when
                           the planner fused a spine, metrics must show
-                          a compiled pipeline actually ran
+                          a compiled pipeline actually ran, and a plan
+                          with a CASE action filter must fuse at least
+                          one of them
 ``sharded``               naive re-run with the shard pool (2 workers)
                           *and* batch size 7 together; metrics must
                           show at least one Exchange dispatched
@@ -93,8 +95,9 @@ from repro.errors import RewriteError
 from repro.fuzz.cases import READS_COLUMNS, FuzzCase
 from repro.minidb.codegen import CompiledSpineOp, forced_codegen
 from repro.minidb.engine import Database
+from repro.minidb.expressions import Case
 from repro.minidb.schema import Column, TableSchema
-from repro.minidb.optimizer.planner import PlannerOptions
+from repro.minidb.plan.physical import FilterOp
 from repro.minidb.plan.shard import ExchangeOp
 from repro.minidb.types import SqlType
 from repro.minidb.vector import forced_batch_size, forced_encoding
@@ -398,9 +401,7 @@ def run_case(case: FuzzCase,
     compare("prepared", prepared)
 
     def parallel() -> tuple[tuple, ...]:
-        options = PlannerOptions(parallel_windows=True)
         parallel_db, parallel_registry = build_database(case)
-        parallel_db.options = options
         parallel_engine = DeferredCleansingEngine(parallel_db,
                                                   parallel_registry)
         try:
@@ -475,6 +476,20 @@ def run_case(case: FuzzCase,
             raise AssertionError(
                 "compiled strategy planned a fused spine but metrics "
                 "recorded zero fused pipelines")
+        # The Φ_C action filters (CASE WHEN c THEN FALSE ELSE TRUE END)
+        # have emit forms, so the label must run them compiled.
+        nodes = list(choice.chosen.physical.walk())
+        fused = {id(op) for node in nodes
+                 if isinstance(node, CompiledSpineOp) for op in node.fused}
+        case_filters = [node for node in nodes
+                        if isinstance(node, FilterOp)
+                        and any(isinstance(expr, Case)
+                                for expr in node.predicate.walk())]
+        if case_filters and not any(id(node) in fused
+                                    for node in case_filters):
+            raise AssertionError(
+                "compiled strategy left every CASE action filter "
+                "interpreted")
         return result.canonical()
 
     compare("compiled", compiled)

@@ -14,7 +14,7 @@ indices and the shard segment discovery are unchanged), but executes a
 single generated loop per column chunk instead of pulling a
 :class:`RowBatch` through every operator. Expressions are emitted via
 :meth:`Expr.emit_value` / :meth:`Expr.emit_truth`; any node without an
-emitter (CASE, scalar functions, subqueries, …) simply ends the spine
+emitter (scalar functions, subqueries, …) simply ends the spine
 there — the operators outside the kernel keep running interpreted, so
 window rule chains, sorts and aggregates become chunk *sources* feeding
 a compiled spine above them.

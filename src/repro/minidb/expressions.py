@@ -202,6 +202,30 @@ def _may_raise(expr: "Expr") -> bool:
                for node in expr.walk())
 
 
+def _plain(column: Any) -> list:
+    """A kernel result as a plain list (encoded columns decode)."""
+    if isinstance(column, ENCODED_TYPES):
+        return column.decode()
+    return column
+
+
+def _truth_mask(column: Any) -> list[bool]:
+    """Per row, whether a condition column's value is TRUE.
+
+    Dictionary and run-length conditions test each distinct value (or
+    run) once and expand through the codes (or run lengths).
+    """
+    if type(column) is DictColumn:
+        truth = [value is True for value in column.values]
+        return [truth[code] for code in column.codes]
+    if type(column) is RLEColumn:
+        mask: list[bool] = []
+        for value, run in zip(column.run_values, column.run_lengths):
+            mask.extend([value is True] * run)
+        return mask
+    return [value is True for value in column]
+
+
 class Expr:
     """Base class for all scalar expression nodes."""
 
@@ -538,7 +562,7 @@ class BinaryOp(Expr):
             return (f"({self.left.emit_truth(ctx)} "
                     f"{joiner} {self.right.emit_truth(ctx)})")
         if op not in _COMPARISON_OPS:
-            return super().emit_truth(ctx)
+            return Expr.emit_truth(self, ctx)
         op = _PY_COMPARE[ctx.comparison_op(op)]
         # Hoist literal operands, mirroring the batch kernels: a NULL
         # literal makes the comparison NULL everywhere (never TRUE).
@@ -622,7 +646,7 @@ class UnaryOp(Expr):
 
     def emit_truth(self, ctx: EmitContext) -> str:
         if self.op != "not":
-            return super().emit_truth(ctx)
+            return Expr.emit_truth(self, ctx)
         # NOT is TRUE exactly when the operand is non-NULL and falsy
         # (the batch kernel applies Python `not` to non-None values).
         t = ctx.temp()
@@ -722,6 +746,107 @@ class Case(Expr):
             return None
 
         return evaluate
+
+    def _bind_batch_fast(self, resolver: Resolver) -> BatchBound:
+        conditions = [condition.bind_batch(resolver)
+                      for condition, _ in self.whens]
+        # THEN results in order, then ELSE (NULL when absent).
+        branches = [result for _, result in self.whens]
+        branches.append(self.else_result if self.else_result is not None
+                        else Literal(None))
+        if len(conditions) == 1 and all(isinstance(branch, Literal)
+                                        for branch in branches):
+            # The action-filter / existential-flag shape, e.g.
+            # CASE WHEN c THEN FALSE ELSE TRUE END: a map over the
+            # condition's truth, once per distinct value when encoded.
+            condition = conditions[0]
+            then, otherwise = branches[0].value, branches[1].value
+
+            def pick(value: Any) -> Any:
+                return then if value is True else otherwise
+
+            def select(batch: RowBatch) -> list:
+                column = condition(batch)
+                if isinstance(column, ENCODED_TYPES):
+                    return column.map_all(pick)
+                return [then if value is True else otherwise
+                        for value in column]
+            return select
+        bound = [branch.bind_batch(resolver) for branch in branches]
+        # CASE is lazy: a later condition sees only the rows no earlier
+        # one decided, and a branch only the rows that select it. Parts
+        # that cannot raise may still run over the whole batch; parts
+        # that may raise run on exactly the rows that reach them.
+        lazy_conditions = [index > 0 and _may_raise(condition)
+                           for index, (condition, _)
+                           in enumerate(self.whens)]
+        lazy_branches = [_may_raise(branch) for branch in branches]
+
+        def evaluate(batch: RowBatch) -> list:
+            total = batch.length
+            undecided = list(range(total))
+            selected: list[list[int]] = []
+            for index, condition in enumerate(conditions):
+                if not undecided:
+                    selected.append([])
+                    continue
+                if lazy_conditions[index] and len(undecided) < total:
+                    mask = _truth_mask(condition(batch.take(undecided)))
+                    hits = [row for row, hit in zip(undecided, mask) if hit]
+                    undecided = [row for row, hit in zip(undecided, mask)
+                                 if not hit]
+                else:
+                    mask = _truth_mask(condition(batch))
+                    hits = [row for row in undecided if mask[row]]
+                    undecided = [row for row in undecided if not mask[row]]
+                selected.append(hits)
+            selected.append(undecided)
+            out: list = [None] * total
+            for index, rows in enumerate(selected):
+                if not rows:
+                    continue
+                branch = branches[index]
+                if isinstance(branch, Literal):
+                    if len(rows) == total:
+                        return [branch.value] * total
+                    value = branch.value
+                    if value is not None:
+                        for row in rows:
+                            out[row] = value
+                    continue
+                if len(rows) == total:
+                    return bound[index](batch)
+                if lazy_branches[index]:
+                    values = _plain(bound[index](batch.take(rows)))
+                    for row, value in zip(rows, values):
+                        out[row] = value
+                else:
+                    column = _plain(bound[index](batch))
+                    for row in rows:
+                        out[row] = column[row]
+            return out
+
+        return evaluate
+
+    def emit_value(self, ctx: EmitContext) -> str:
+        # Python's conditional expression is lazy exactly like CASE:
+        # each condition runs only if no earlier one held, and only the
+        # chosen branch is evaluated.
+        text = "None" if self.else_result is None \
+            else self.else_result.emit_value(ctx)
+        for condition, result in reversed(self.whens):
+            text = (f"({result.emit_value(ctx)} "
+                    f"if {condition.emit_truth(ctx)} else {text})")
+        return text
+
+    def emit_truth(self, ctx: EmitContext) -> str:
+        # CASE is TRUE exactly when its chosen branch is.
+        text = "False" if self.else_result is None \
+            else self.else_result.emit_truth(ctx)
+        for condition, result in reversed(self.whens):
+            text = (f"({result.emit_truth(ctx)} "
+                    f"if {condition.emit_truth(ctx)} else {text})")
+        return text
 
     def to_sql(self) -> str:
         parts = ["CASE"]

@@ -179,12 +179,11 @@ class SortedIndex:
         return self._bounds_in(self._data[0], key_range)
 
     def scan(self, key_range: IndexRange) -> Iterator[int]:
-        """Yield row positions whose key falls in *key_range*, key order."""
+        """Row positions whose key falls in *key_range*, in key order."""
         # One capture of the published arrays = one consistent epoch.
         keys, positions = self._data
         start, stop = self._bounds_in(keys, key_range)
-        for slot in range(start, stop):
-            yield positions[slot]
+        return map(positions.__getitem__, range(start, stop))
 
     def count(self, key_range: IndexRange) -> int:
         """Exact number of entries in *key_range* (no row access)."""

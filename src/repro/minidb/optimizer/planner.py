@@ -84,11 +84,6 @@ class PlannerOptions:
     order_sharing: bool = True
     naive_windows: bool = False
     push_filters: bool = True
-    #: Historical toggle for the retired per-window fork pool; kept so
-    #: ablation configs keep parsing. Parallelism is now planned as
-    #: Exchange segments (see ``shard_parallel``), which subsume the
-    #: per-sequence window path.
-    parallel_windows: bool = False
     #: Wrap shardable pipeline segments in Exchange operators; still
     #: subject to the ``REPRO_WORKERS`` and row-threshold gates at both
     #: plan and execution time.
@@ -721,7 +716,6 @@ class Planner:
         op = WindowOp(child, window_schema, partition_keys, order_keys,
                       specs, presorted=presorted, ordering=ordering_out,
                       naive=self._options.naive_windows,
-                      parallel=self._options.parallel_windows,
                       partition_exprs=list(node.partition_by),
                       order_exprs=[spec.expr for spec in node.order_by],
                       argument_exprs=[call.argument

@@ -32,8 +32,9 @@ Each operator carries:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError
 from repro.minidb.expressions import BatchBound, Expr
@@ -480,16 +481,10 @@ class IndexRangeScan(PhysicalNode):
                                len(chunk))
             return
         columns = self.table.columnar()
-        bound = self.visible_count
-        chunk: list[int] = []
-        for position in self.index.scan(self.key_range):
-            if bound is not None and position >= bound:
-                continue
-            chunk.append(position)
-            if len(chunk) >= size:
-                yield self._gather(columns, chunk)
-                chunk = []
-        if chunk:
+        positions = self.index.scan(self.key_range)
+        if self.visible_count is not None:
+            positions = filter(self.visible_count.__gt__, positions)
+        while chunk := list(islice(positions, size)):
             yield self._gather(columns, chunk)
 
     def _gather(self, columns: list[list], positions: list[int]) -> RowBatch:
@@ -1092,13 +1087,123 @@ class _AggState:
         return self.extreme
 
 
+def _plain_values(column: Any) -> list:
+    """A column's values as a list. Reading values is what an aggregate
+    does with its input, so an encoded column counts no decode
+    fallback here."""
+    if type(column) is DictColumn:
+        values = column.values
+        return [values[code] for code in column.codes]
+    if type(column) is RLEColumn:
+        return column.decode_quiet()
+    return column
+
+
+def _group_numbers(key_columns: list, length: int,
+                   index: dict[Any, int]) -> list[int]:
+    """Each row's group number; groups not yet in *index* (key -> number,
+    the bare value for a single key) join it in first-seen row order."""
+    number = index.setdefault
+    if not key_columns:
+        return [number((), 0)] * length
+    if len(key_columns) == 1 and type(key_columns[0]) is DictColumn:
+        # One number per distinct code, then a lookup per row.
+        codes, values = key_columns[0].codes, key_columns[0].values
+        by_code = {code: number(values[code], len(index))
+                   for code in dict.fromkeys(codes)}
+        return list(map(by_code.__getitem__, codes))
+    if len(key_columns) == 1:
+        keys = _plain_values(key_columns[0])
+    else:
+        keys = list(zip(*map(_plain_values, key_columns)))
+    for key in dict.fromkeys(keys):
+        number(key, len(index))
+    return list(map(index.__getitem__, keys))
+
+
+class _AggColumns:
+    """Accumulators for one aggregate call across every group, one slot
+    per group number: the batch path feeds them whole columns.
+
+    Each group's values are folded in row order, exactly as
+    :class:`_AggState` folds them, so float sums match bit for bit.
+    """
+
+    __slots__ = ("name", "counts", "values", "seen")
+
+    def __init__(self, name: str, distinct: bool) -> None:
+        self.name = name
+        self.counts: list[int] = []
+        #: Running total (sum/avg) or extreme (min/max) per group.
+        self.values: list[Any] = []
+        self.seen: list[set] | None = [] if distinct else None
+
+    def grow(self, groups: int) -> None:
+        extra = groups - len(self.counts)
+        if extra > 0:
+            self.counts.extend([0] * extra)
+            self.values.extend([None] * extra)
+            if self.seen is not None:
+                self.seen.extend(set() for _ in range(extra))
+
+    def add_rows(self, gids: list[int]) -> None:
+        """``count(*)``: every row counts."""
+        counts = self.counts
+        for g, rows in Counter(gids).items():
+            counts[g] += rows
+
+    def add_column(self, gids: list[int], column: Any) -> None:
+        pairs: Iterable[tuple[int, Any]] = zip(gids, _plain_values(column))
+        if self.seen is not None:
+            fresh = []
+            for g, value in pairs:
+                seen = self.seen[g]
+                if value is not None and value not in seen:
+                    seen.add(value)
+                    fresh.append((g, value))
+            pairs = fresh
+        counts, values, name = self.counts, self.values, self.name
+        if name in ("sum", "avg"):
+            for g, value in pairs:
+                if value is not None:
+                    counts[g] += 1
+                    total = values[g]
+                    values[g] = value if total is None else total + value
+        elif name == "min":
+            for g, value in pairs:
+                if value is not None:
+                    extreme = values[g]
+                    if extreme is None or value < extreme:
+                        values[g] = value
+        elif name == "max":
+            for g, value in pairs:
+                if value is not None:
+                    extreme = values[g]
+                    if extreme is None or value > extreme:
+                        values[g] = value
+        else:
+            for g, value in pairs:
+                if value is not None:
+                    counts[g] += 1
+
+    def results(self) -> list:
+        """The aggregate's value for every group, by group number."""
+        if self.name == "count":
+            return self.counts
+        if self.name == "avg":
+            return [None if count == 0 else total / count
+                    for total, count in zip(self.values, self.counts)]
+        return self.values
+
+
 class AggregateOp(PhysicalNode):
     """Hash aggregation: group keys followed by aggregate results.
 
     Aggregate specs are ``(name, bound_argument_or_None, distinct)``;
     ``count(*)`` passes a None argument and counts every row. The batch
-    path extracts group-key and argument columns per chunk before the
-    row-wise accumulation loop.
+    path numbers each chunk's rows by group (first-seen order) in one
+    pass over the key columns, then folds each argument column into
+    per-group accumulators in one pass per aggregate.
     """
 
     __slots__ = ('child', '_group_keys', '_aggregate_specs',
@@ -1157,9 +1262,10 @@ class AggregateOp(PhysicalNode):
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         size = _resolve_batch_size(size)
-        groups: dict[tuple, list[_AggState]] = {}
         specs = self._aggregate_specs
-        spec_count = len(specs)
+        states = [_AggColumns(name, distinct) for name, _, distinct in specs]
+        # Group key (the bare value for a single key) -> group number.
+        index: dict[Any, int] = {}
         for batch in self.child.batches(size):
             if self._batch_group_keys is not None:
                 key_columns = [key(batch)
@@ -1168,48 +1274,41 @@ class AggregateOp(PhysicalNode):
                 in_rows = batch.rows()
                 key_columns = [[key(row) for row in in_rows]
                                for key in self._group_keys]
-            argument_columns: list[list | None] = []
-            for index, (name, argument, _) in enumerate(specs):
+            argument_columns: list[Any] = []
+            for position, (name, argument, _) in enumerate(specs):
                 if argument is None:
                     argument_columns.append(None)
                 elif self._batch_arguments is not None \
-                        and self._batch_arguments[index] is not None:
+                        and self._batch_arguments[position] is not None:
                     argument_columns.append(
-                        self._batch_arguments[index](batch))
+                        self._batch_arguments[position](batch))
                 else:
                     in_rows = batch.rows()
                     argument_columns.append(
                         [argument(row) for row in in_rows])
-            for i in range(batch.length):
-                key = tuple(column[i] for column in key_columns)
-                states = groups.get(key)
-                if states is None:
-                    states = [_AggState(name, distinct)
-                              for name, _, distinct in specs]
-                    groups[key] = states
-                for s in range(spec_count):
-                    column = argument_columns[s]
-                    if column is None:  # count(*)
-                        states[s].count += 1
-                    else:
-                        states[s].add(column[i])
-        if not groups and not self._group_keys:
-            states = [_AggState(name, distinct)
-                      for name, _, distinct in specs]
-            groups[()] = states
-        out: list[tuple] = []
-        width = len(self.schema)
-        for key, states in groups.items():
-            out.append(key + tuple(state.result() for state in states))
-            if len(out) >= size:
-                self.actual_rows += len(out)
-                self.actual_batches += 1
-                yield RowBatch.from_rows(out, width)
-                out = []
-        if out:
-            self.actual_rows += len(out)
+            gids = _group_numbers(key_columns, batch.length, index)
+            for state, column in zip(states, argument_columns):
+                state.grow(len(index))
+                if column is None:  # count(*)
+                    state.add_rows(gids)
+                else:
+                    state.add_column(gids, column)
+        if not index and not self._group_keys:
+            # Global aggregate over an empty input yields one row.
+            index[()] = 0
+        for state in states:
+            state.grow(len(index))
+        if len(self._group_keys) == 1:
+            key_columns = [list(index)]
+        else:
+            key_columns = [list(column) for column in zip(*index)]
+        columns = key_columns + [state.results() for state in states]
+        total = len(index)
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            self.actual_rows += hi - lo
             self.actual_batches += 1
-            yield RowBatch.from_rows(out, width)
+            yield RowBatch([column[lo:hi] for column in columns], hi - lo)
 
     def label(self) -> str:
         return (f"Aggregate(groups={len(self._group_keys)}, "

@@ -5,20 +5,40 @@ compile into: scalar aggregates over ROWS/RANGE frames within
 ``PARTITION BY epc ORDER BY rtime`` sequences, evaluated in a single
 pass over sorted data.
 
-Execution outline:
+Execution outline (the batch path, :meth:`WindowOp.batches`):
 
-1. buffer the input; sort by (partition keys, order keys) unless the
+1. buffer the input and concatenate it column-wise (dictionary codes
+   stay intact); sort by (partition keys, order keys) with a stable
+   multi-pass index sort over precomputed key columns, unless the
    planner proved the input already carries that order (``presorted`` —
-   the paper's "order sharing" optimization);
-2. split into partitions;
-3. for each function, compute frame bounds per row with two monotone
-   pointers and aggregate incrementally (running counters for
-   count/sum/avg, a monotonic deque for min/max), so a partition costs
-   O(n) per function rather than O(n * frame);
-4. emit each input row extended with one value per function.
+   the paper's "order sharing" optimization); then arrange every column
+   into that order once;
+2. find the partition spans once: a single key compares neighbouring
+   values without building a tuple per row, and a sorted-dictionary key
+   compares its integer codes;
+3. compute each function's output column in one pass over the whole
+   sorted input:
 
-A ``naive`` mode re-scans the frame for every row; it exists only for
-the ablation benchmark contrasting the two strategies.
+   * ``lag``/``lead`` and one-row ``ROWS`` frames of ``min``/``max``
+     (``start == end``, e.g. every singleton reference's ``rows between
+     1 preceding and 1 preceding``) are a shifted copy of the argument
+     column, with NULL written where the source row falls outside the
+     partition;
+   * every other frame (the set reference's ``RANGE BETWEEN 1 FOLLOWING
+     AND n FOLLOWING`` existential ``max`` among them) computes its
+     frame bounds with two monotone pointers and aggregates
+     incrementally — running counters for count/sum/avg, a monotonic
+     deque for min/max — in one sliding loop that resets at each
+     partition start, so the input costs O(n) per function;
+
+4. slice the whole output columns (the input's plus one per function)
+   into batches of the requested size.
+
+The tuple-at-a-time path (:meth:`WindowOp.scalar_rows`) keeps the
+per-partition evaluation (:meth:`WindowOp._evaluate`) as the reference
+the batch kernels are tested against. A ``naive`` mode re-scans the
+frame for every row, one partition at a time on both paths; it exists
+only for the ablation benchmark contrasting the two strategies.
 
 Partitions are independent, so the whole operator parallelizes per
 sequence. That no longer happens here: the planner's shard pass
@@ -41,7 +61,8 @@ from repro.minidb.plan.physical import (Ordering, PhysicalNode,
                                         _resolve_batch_size)
 from repro.minidb.plan.planschema import PlanSchema
 from repro.minidb.types import sort_key, sort_key_column
-from repro.minidb.vector import RowBatch
+from repro.minidb.vector import (ENCODED_TYPES, DictColumn, RowBatch,
+                                 concat_columns)
 
 __all__ = ["WindowOp", "WindowFuncSpec"]
 
@@ -125,7 +146,7 @@ class WindowOp(PhysicalNode):
     """Physical window operator; see module docstring."""
 
     __slots__ = ("child", "_partition_keys", "_order_keys", "functions",
-                 "presorted", "naive", "parallel", "sorted_rows",
+                 "presorted", "naive", "sorted_rows",
                  "parallel_workers", "_batch_partition", "_batch_order",
                  "_batch_arguments")
 
@@ -136,7 +157,6 @@ class WindowOp(PhysicalNode):
                  presorted: bool,
                  ordering: Ordering,
                  naive: bool = False,
-                 parallel: bool = False,
                  partition_exprs: Sequence[Expr] | None = None,
                  order_exprs: Sequence[Expr] | None = None,
                  argument_exprs: Sequence[Expr | None] | None = None,
@@ -166,7 +186,6 @@ class WindowOp(PhysicalNode):
         self.presorted = presorted
         self.ordering = ordering
         self.naive = naive
-        self.parallel = parallel
         self.sorted_rows = 0
         #: Pool size actually used by the last execution (0 = serial);
         #: surfaced through ``ExecutionMetrics`` so tests and the fuzz
@@ -222,48 +241,43 @@ class WindowOp(PhysicalNode):
         in_rows = big.rows()
         return [[bound(row) for row in in_rows] for bound in row_bounds]
 
-    def _normalized_order(self, order_columns: list[list],
-                          start: int, end: int) -> list[Any] | None:
-        """Slice of the first order-key column, ascending-normalized."""
-        if not self._order_keys:
-            return None
-        _, ascending = self._order_keys[0]
-        column = order_columns[0][start:end]
-        if ascending:
-            return column
-        return [None if value is None else -value for value in column]
+    def _sort_order(self, total: int, partition_columns: list[list],
+                    order_columns: list[list]) -> list[int]:
+        """Row order by (partition keys, order keys).
 
-    def _partition_spans(self, total: int,
-                         partition_columns: list[list],
-                         ) -> list[tuple[int, int]]:
-        """Contiguous (start, end) spans of equal partition keys."""
-        if not partition_columns:
-            return [(0, total)]
-        spans: list[tuple[int, int]] = []
-        start = 0
-        current = tuple(column[0] for column in partition_columns)
-        for index in range(1, total):
-            candidate = tuple(column[index]
-                              for column in partition_columns)
-            if candidate != current:
-                spans.append((start, index))
-                start = index
-                current = candidate
-        spans.append((start, total))
-        return spans
+        Stable multi-pass index sort over precomputed key arrays: order
+        keys last-to-first, then the partition key (bare values for a
+        single key, a tuple per row only for composite keys), matching
+        the scalar path's per-pass row sorts.
+        """
+        order = list(range(total))
+        for column, (_, ascending) in zip(reversed(order_columns),
+                                          reversed(self._order_keys)):
+            keyed = sort_key_column(column)
+            order.sort(key=keyed.__getitem__, reverse=not ascending)
+        if len(partition_columns) == 1:
+            keyed = sort_key_column(partition_columns[0])
+            order.sort(key=keyed.__getitem__)
+        elif partition_columns:
+            composite = list(zip(*[sort_key_column(column)
+                                   for column in partition_columns]))
+            order.sort(key=composite.__getitem__)
+        return order
 
     def batches(self, size: int | None = None) -> Iterator[RowBatch]:
         self.parallel_workers = 0
         size = _resolve_batch_size(size)
-        buffered: list[tuple] = []
-        for batch in self.child.batches(size):
-            buffered.extend(batch.rows())
-        if not self.presorted:
-            self.sorted_rows = len(buffered)
-        if not buffered:
-            return
         width_in = len(self.child.schema)
-        big = RowBatch.from_rows(buffered, width_in)
+        collected = list(self.child.batches(size))
+        total = sum(batch.length for batch in collected)
+        if not self.presorted:
+            self.sorted_rows = total
+        if not total:
+            return
+        # Column-wise concat keeps dictionary codes intact: sort keys and
+        # partition boundaries on a sorted-dictionary column compare ints.
+        big = concat_columns(collected, width_in)
+        del collected
         partition_columns = self._eval_columns(
             big, self._batch_partition, self._partition_keys)
         order_columns = self._eval_columns(
@@ -277,61 +291,181 @@ class WindowOp(PhysicalNode):
                 argument_columns.append(self._batch_arguments[index](big))
             else:
                 argument_columns.append(
-                    [spec.argument(row) for row in buffered])
-        if not self.presorted:
-            # Stable multi-pass index sort over precomputed key arrays:
-            # order keys last-to-first, then the composite partition key,
-            # matching the scalar path's per-pass row sorts.
-            order = list(range(len(buffered)))
-            for column, (_, ascending) in zip(reversed(order_columns),
-                                              reversed(self._order_keys)):
-                keyed = sort_key_column(column)
-                order.sort(key=keyed.__getitem__, reverse=not ascending)
-            if partition_columns:
-                composite = list(zip(*[sort_key_column(column)
-                                       for column in partition_columns]))
-                order.sort(key=composite.__getitem__)
-            buffered = [buffered[i] for i in order]
-            partition_columns = [[column[i] for i in order]
-                                 for column in partition_columns]
-            order_columns = [[column[i] for i in order]
-                             for column in order_columns]
-            argument_columns = [
-                None if column is None else [column[i] for i in order]
-                for column in argument_columns]
-            big = RowBatch.from_rows(buffered, width_in)
-        sorted_columns = big.columns
-        spans = self._partition_spans(len(buffered), partition_columns)
-        partitions = [buffered[start:end] for start, end in spans]
-        func_count = len(self.functions)
-        out_columns: list[list] = [[] for _ in range(width_in + func_count)]
-        pending = 0
-        for span_index, (start, end) in enumerate(spans):
-            order_slice = self._normalized_order(order_columns,
-                                                 start, end)
-            computed = []
-            for index, spec in enumerate(self.functions):
-                arguments = (None if argument_columns[index] is None
-                             else argument_columns[index][start:end])
-                computed.append(self._evaluate(
-                    spec, partitions[span_index],
-                    order_values=order_slice, arguments=arguments))
-            for position in range(width_in):
-                out_columns[position].extend(
-                    sorted_columns[position][start:end])
-            for position, column in enumerate(computed):
-                out_columns[width_in + position].extend(column)
-            pending += end - start
-            if pending >= size:
-                self.actual_rows += pending
-                self.actual_batches += 1
-                yield RowBatch(out_columns, pending)
-                out_columns = [[] for _ in range(width_in + func_count)]
-                pending = 0
-        if pending:
-            self.actual_rows += pending
+                    [spec.argument(row) for row in big.rows()])
+        order = None if self.presorted else \
+            self._sort_order(total, partition_columns, order_columns)
+        # Every column is arranged (decoded, and gathered into sorted
+        # order) once, however many roles it plays: a bare column
+        # argument is the very list of the input column it names.
+        arranged: dict[int, tuple[Any, list]] = {}
+
+        def arrange(column: Any) -> list:
+            entry = arranged.get(id(column))
+            if entry is None:
+                plain = column.decode() \
+                    if isinstance(column, ENCODED_TYPES) else column
+                if order is not None:
+                    plain = [plain[i] for i in order]
+                entry = arranged[id(column)] = (column, plain)
+            return entry[1]
+
+        out_columns = [arrange(column) for column in big.columns]
+        spans = self._spans(total, partition_columns, order, arrange)
+        order_values = arrange(order_columns[0]) if order_columns else None
+        for index, spec in enumerate(self.functions):
+            arguments = argument_columns[index]
+            out_columns.append(self._window_column(
+                spec, spans, total, order_values,
+                None if arguments is None else arrange(arguments)))
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            chunk = out_columns if lo == 0 and hi == total else \
+                [column[lo:hi] for column in out_columns]
+            self.actual_rows += hi - lo
             self.actual_batches += 1
-            yield RowBatch(out_columns, pending)
+            yield RowBatch(chunk, hi - lo)
+
+    def _spans(self, total: int, partition_columns: list[list],
+               order: list[int] | None,
+               arrange: Callable[[Any], list]) -> list[tuple[int, int]]:
+        """Contiguous ``(start, end)`` spans of equal partition keys.
+
+        A single key compares neighbouring values directly (a sorted
+        dictionary compares its integer codes, which are equal exactly
+        when the values are); only composite keys build a tuple per row.
+        Equality is the scalar path's tuple equality: identical or ``==``.
+        """
+        if not partition_columns:
+            return [(0, total)]
+        if len(partition_columns) > 1:
+            keys: list = list(zip(*[arrange(column)
+                                    for column in partition_columns]))
+        else:
+            column = partition_columns[0]
+            if type(column) is DictColumn and column.sorted:
+                keys = column.codes
+                if order is not None:
+                    keys = [keys[i] for i in order]
+            else:
+                keys = arrange(column)
+        starts = [0]
+        starts += [index for index, (previous, current)
+                   in enumerate(zip(keys, keys[1:]), 1)
+                   if current != previous and current is not previous]
+        return list(zip(starts, starts[1:] + [total]))
+
+    def _window_column(self, spec: WindowFuncSpec,
+                       spans: list[tuple[int, int]], total: int,
+                       order_values: list | None,
+                       arguments: list | None) -> list:
+        """One function's output column over the whole sorted input."""
+        name = spec.name
+        if name == "row_number":
+            numbers: list[int] = []
+            for start, end in spans:
+                numbers.extend(range(1, end - start + 1))
+            return numbers
+        if name in ("lag", "lead"):
+            if arguments is None:
+                raise ExecutionError(f"{name}() requires an argument")
+            return _shifted(arguments, spans,
+                            -spec.offset if name == "lag" else spec.offset)
+        if self.naive:
+            # The ablation keeps its per-row rescan, one partition at a
+            # time through the scalar reference.
+            out: list = []
+            for start, end in spans:
+                out.extend(self._evaluate_naive(
+                    spec, end - start,
+                    None if order_values is None
+                    else order_values[start:end],
+                    None if arguments is None else arguments[start:end]))
+            return out
+        frame = spec.frame
+        if name in ("min", "max") and frame is not None \
+                and frame.mode == "rows" and frame.start == frame.end \
+                and frame.start != UNBOUNDED:
+            # A one-row frame holds exactly the row at that offset.
+            return _shifted(arguments, spans, int(frame.start))
+        los, his = self._frame_columns(spec, spans, total, order_values)
+        if name in ("min", "max"):
+            return _extreme_column(name == "min", spans, los, his,
+                                   arguments)
+        return _sum_column(spec, spans, los, his, arguments)
+
+    def _frame_columns(self, spec: WindowFuncSpec,
+                       spans: list[tuple[int, int]], total: int,
+                       order_values: list | None,
+                       ) -> tuple[list[int], list[int]]:
+        """Inclusive frame bounds ``(los, his)`` for every row.
+
+        Absolute row indices, with the pointers reset at each partition
+        start; both are nondecreasing within a partition and an empty
+        frame has ``lo > hi`` (the semantics of :meth:`_frame_bounds`).
+        """
+        los = [0] * total
+        his = [0] * total
+        frame = spec.frame
+        if frame is None and not spec.has_order:
+            for start, end in spans:
+                los[start:end] = [start] * (end - start)
+                his[start:end] = [end - 1] * (end - start)
+            return los, his
+        if frame is None:
+            # RANGE UNBOUNDED PRECEDING .. CURRENT ROW: the frame ends
+            # with the current row's last peer.
+            values = order_values
+            for start, end in spans:
+                hi = start
+                for index in range(start, end):
+                    if hi < index:
+                        hi = index
+                    while hi + 1 < end and values[hi + 1] == values[index]:
+                        hi += 1
+                    los[index] = start
+                    his[index] = hi
+            return los, his
+        low, high = frame.start, frame.end
+        if frame.mode == "rows":
+            low = None if low == UNBOUNDED else int(low)
+            high = None if high == UNBOUNDED else int(high)
+            for start, end in spans:
+                last = end - 1
+                for index in range(start, end):
+                    los[index] = start if low is None \
+                        else max(start, index + low)
+                    his[index] = last if high is None \
+                        else min(last, index + high)
+            return los, his
+        values = _ascending(order_values, self._order_keys[0][1])
+        for start, end in spans:
+            first, stop = _non_null_block(values, start, end)
+            lo = first
+            hi = first - 1
+            for index in range(start, end):
+                center = values[index]
+                if center is None:
+                    # NULL keys are one peer group of their own.
+                    if index < first:
+                        los[index], his[index] = start, first - 1
+                    else:
+                        los[index], his[index] = stop, end - 1
+                    continue
+                if low == UNBOUNDED:
+                    los[index] = start
+                else:
+                    low_value = center + low
+                    while lo < stop and values[lo] < low_value:
+                        lo += 1
+                    los[index] = lo
+                if high == UNBOUNDED:
+                    his[index] = end - 1
+                else:
+                    high_value = center + high
+                    while hi + 1 < stop and values[hi + 1] <= high_value:
+                        hi += 1
+                    his[index] = hi
+        return los, his
 
     def _partitions(self, rows: list[tuple]) -> Iterator[list[tuple]]:
         if not rows:
@@ -353,11 +487,9 @@ class WindowOp(PhysicalNode):
     # ------------------------------------------------------------------
 
     def _order_values(self, partition: list[tuple]) -> list[Any]:
-        """Order-key values normalized so the sequence is ascending."""
-        key, ascending = self._order_keys[0]
-        if ascending:
-            return [key(row) for row in partition]
-        return [None if key(row) is None else -key(row) for row in partition]
+        """The first order key's values, in partition order."""
+        key, _ = self._order_keys[0]
+        return [key(row) for row in partition]
 
     def _frame_bounds(self, spec: WindowFuncSpec, size: int,
                       order_values: list[Any] | None,
@@ -393,34 +525,32 @@ class WindowOp(PhysicalNode):
                     else min(size - 1, index + int(frame.end))
                 yield lo, hi
             return
-        # RANGE mode with value offsets on a single numeric order key.
-        # Order values ascend (NULLs first); rows with a NULL key form
-        # their own peer group, and value-bounded frames of non-NULL rows
-        # never include NULL-key rows.
-        values = order_values
-        assert values is not None
-        first_value = 0
-        while first_value < size and values[first_value] is None:
-            first_value += 1
-        lo = first_value
-        hi = first_value - 1
+        # RANGE mode with value offsets on a single numeric order key,
+        # normalized to ascend. NULL keys sort first (ascending) or last
+        # (descending); rows with a NULL key form their own peer group,
+        # and value-bounded frames of non-NULL rows never include them.
+        assert order_values is not None
+        values = _ascending(order_values, self._order_keys[0][1])
+        first, stop = _non_null_block(values, 0, size)
+        lo = first
+        hi = first - 1
         for index in range(size):
             center = values[index]
             if center is None:
-                yield 0, first_value - 1
+                yield (0, first - 1) if index < first else (stop, size - 1)
                 continue
             if frame.start == UNBOUNDED:
                 target_lo = 0
             else:
                 low_value = center + frame.start
-                while lo < size and values[lo] < low_value:
+                while lo < stop and values[lo] < low_value:
                     lo += 1
                 target_lo = lo
             if frame.end == UNBOUNDED:
                 target_hi = size - 1
             else:
                 high_value = center + frame.end
-                while hi + 1 < size and values[hi + 1] <= high_value:
+                while hi + 1 < stop and values[hi + 1] <= high_value:
                     hi += 1
                 target_hi = hi
             yield target_lo, target_hi
@@ -428,26 +558,16 @@ class WindowOp(PhysicalNode):
     # ------------------------------------------------------------------
 
     def _evaluate(self, spec: WindowFuncSpec,
-                  partition: list[tuple],
-                  order_values: list[Any] | None = None,
-                  arguments: list[Any] | None = None) -> list[Any]:
-        """Window column for one partition.
-
-        ``order_values`` / ``arguments`` may be supplied precomputed (the
-        batch path slices them out of whole-input columns); otherwise
-        they are derived from the partition rows here.
-        """
+                  partition: list[tuple]) -> list[Any]:
+        """Window column for one partition (the scalar reference)."""
         size = len(partition)
         if spec.name == "row_number":
             return list(range(1, size + 1))
         if spec.name in ("lag", "lead"):
-            if arguments is None:
-                argument = spec.argument
-                if argument is None:
-                    raise ExecutionError(
-                        f"{spec.name}() requires an argument")
-                arguments = [argument(row) for row in partition]
-            values = arguments
+            argument = spec.argument
+            if argument is None:
+                raise ExecutionError(f"{spec.name}() requires an argument")
+            values = [argument(row) for row in partition]
             offset = spec.offset
             if offset == 0:
                 return values
@@ -455,10 +575,10 @@ class WindowOp(PhysicalNode):
             if spec.name == "lag":
                 return padding + values[:size - offset]
             return values[offset:] + padding
-        if order_values is None and self._order_keys:
-            order_values = self._order_values(partition)
-        if arguments is None and not spec.count_star:
-            arguments = [spec.argument(row) for row in partition]
+        order_values = self._order_values(partition) \
+            if self._order_keys else None
+        arguments = None if spec.count_star \
+            else [spec.argument(row) for row in partition]
         if self.naive:
             return self._evaluate_naive(spec, size, order_values, arguments)
         return self._evaluate_sliding(spec, size, order_values, arguments)
@@ -531,3 +651,135 @@ class WindowOp(PhysicalNode):
             else:
                 results.append(max(window))
         return results
+
+
+# -- whole-input kernels -----------------------------------------------
+
+
+def _shifted(values: list, spans: list[tuple[int, int]],
+             offset: int) -> list:
+    """``values[i + offset]`` for every row ``i``, NULL where that row
+    falls outside ``i``'s partition: lag/lead and one-row frames.
+
+    One whole-column slice, then NULL written over the first (or last)
+    ``|offset|`` rows of each partition.
+    """
+    if offset == 0:
+        return values
+    total = len(values)
+    distance = abs(offset)
+    if distance >= total:
+        return [None] * total
+    if offset < 0:
+        out = [None] * distance + values[:total - distance]
+        if distance == 1:
+            for start, _ in spans:
+                out[start] = None
+        else:
+            for start, end in spans:
+                for index in range(start, min(start + distance, end)):
+                    out[index] = None
+        return out
+    out = values[distance:] + [None] * distance
+    if distance == 1:
+        for _, end in spans:
+            out[end - 1] = None
+    else:
+        for start, end in spans:
+            for index in range(max(end - distance, start), end):
+                out[index] = None
+    return out
+
+
+def _extreme_column(is_min: bool, spans: list[tuple[int, int]],
+                    los: list[int], his: list[int],
+                    arguments: list) -> list:
+    """Sliding min/max: a monotonic deque of ``(index, value)`` that
+    resets at each partition start; the front is the frame's extreme."""
+    out: list = [None] * len(los)
+    entries: deque[tuple[int, Any]] = deque()
+    for start, end in spans:
+        entries.clear()
+        added = start - 1
+        for index in range(start, end):
+            lo = los[index]
+            hi = his[index]
+            while added < hi:
+                added += 1
+                value = arguments[added]
+                if value is None:
+                    continue
+                if is_min:
+                    while entries and entries[-1][1] >= value:
+                        entries.pop()
+                else:
+                    while entries and entries[-1][1] <= value:
+                        entries.pop()
+                entries.append((added, value))
+            while entries and entries[0][0] < lo:
+                entries.popleft()
+            if lo <= hi and entries:
+                out[index] = entries[0][1]
+    return out
+
+
+def _sum_column(spec: WindowFuncSpec, spans: list[tuple[int, int]],
+                los: list[int], his: list[int],
+                arguments: list | None) -> list:
+    """Sliding count/sum/avg: running counters that reset at each
+    partition start, adding rows on the right and dropping on the left."""
+    name = spec.name
+    count_star = spec.count_star
+    out: list = [0 if name == "count" else None] * len(los)
+    for start, end in spans:
+        count = 0
+        running: Any = 0
+        added = start - 1
+        dropped = start
+        for index in range(start, end):
+            lo = los[index]
+            hi = his[index]
+            while added < hi:
+                added += 1
+                value = 1 if count_star else arguments[added]
+                if value is not None:
+                    count += 1
+                    running += value
+            limit = min(lo, added + 1)
+            while dropped < limit:
+                value = 1 if count_star else arguments[dropped]
+                if value is not None:
+                    count -= 1
+                    running -= value
+                dropped += 1
+            if lo > hi:
+                continue
+            if name == "count":
+                out[index] = (hi - lo + 1) if count_star else count
+            elif name == "sum":
+                out[index] = running if count else None
+            else:  # avg
+                out[index] = running / count if count else None
+    return out
+
+
+def _ascending(values: list, ascending: bool) -> list:
+    """Order-key values normalized to ascend (descending keys negate)."""
+    if ascending:
+        return values
+    return [None if value is None else -value for value in values]
+
+
+def _non_null_block(values: list, start: int, end: int) -> tuple[int, int]:
+    """``[first, stop)``: the non-NULL run of one sorted partition.
+
+    NULL keys lead an ascending partition and trail a descending one.
+    """
+    first = start
+    while first < end and values[first] is None:
+        first += 1
+    stop = end
+    if first == start:
+        while stop > start and values[stop - 1] is None:
+            stop -= 1
+    return first, stop

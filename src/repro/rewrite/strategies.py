@@ -26,6 +26,7 @@ from repro.minidb.plan.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSemiJoin,
+    LogicalUnion,
 )
 from repro.rewrite.context import DimensionJoin
 from repro.sqlts.compiler import CompiledRule
@@ -199,17 +200,33 @@ def joinback_subplan(database: Database, registry: RuleRegistry,
     build side is a broadcast subtree: every worker evaluates it in
     full, so per-shard membership checks see the complete key set and
     the merged output matches the serial plan row for row.
+
+    A rule whose FROM is a derived view (§4.2) can put rows into the
+    cleansed table that are not reads of R — the missing rule's expected
+    case reads, copied from pallet reads. The relevant-sequence list
+    therefore also takes the keys of σ_s over each such view
+    instantiated on R, so an EPC whose only σ_s-matching row is such a
+    copy still counts.
     """
     ckey, _ = validate_rule_keys(rules)
     table = database.table(table_name)
+    views = {compiled.rule.from_table: registry.view(compiled.rule.from_table)
+             for compiled in rules
+             if compiled.rule.from_table != compiled.rule.on_table}
 
-    def seqlist() -> LogicalNode:
-        inner: LogicalNode = LogicalScan(table)
-        inner = _filter_conjuncts(database, inner, s_conjuncts)
+    def relevant_keys(source: LogicalNode) -> LogicalNode:
+        inner = _filter_conjuncts(database, source, s_conjuncts)
         for dimension in pushed_dimensions:
             inner = _dim_semi_join(database, inner, dimension)
-        return LogicalDistinct(
-            LogicalProject(inner, [(ColumnRef(ckey), ckey)]))
+        return LogicalProject(inner, [(ColumnRef(ckey), ckey)])
+
+    def seqlist() -> LogicalNode:
+        keys = relevant_keys(LogicalScan(table))
+        for view in filter(None, views.values()):
+            keys = LogicalUnion(
+                keys, relevant_keys(build_plan(view, database.catalog)),
+                all_rows=True)
+        return LogicalDistinct(keys)
 
     base: LogicalNode = LogicalScan(table)
     guards: list[Expr] = []

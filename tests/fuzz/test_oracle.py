@@ -7,7 +7,6 @@ import pytest
 from repro.fuzz.cases import DimensionSpec, FuzzCase, QuerySpec
 from repro.fuzz.oracle import (ALL_LABELS, build_database,
                                forced_parallel_windows, run_case)
-from repro.minidb.optimizer.planner import PlannerOptions
 from repro.minidb.result import ResultSet
 from repro.rewrite.engine import DeferredCleansingEngine
 
@@ -88,7 +87,6 @@ def test_parallel_label_actually_fans_out() -> None:
     window operators whose last run used workers)."""
     case = _case(["c.rtime >= 0"])
     db, registry = build_database(case)
-    db.options = PlannerOptions(parallel_windows=True)
     engine = DeferredCleansingEngine(db, registry)
     with forced_parallel_windows(workers=2, threshold=1):
         _, metrics, _ = engine.execute_with_metrics(

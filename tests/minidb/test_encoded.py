@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.codegen.knobs import forced_codegen
 from repro.minidb.plan import shard
 from repro.minidb.storage.__main__ import stat
@@ -140,12 +140,10 @@ PARITY_QUERIES = [
 
 
 def _build(encode, storage, path):
-    options = PlannerOptions(parallel_windows=True)
     if storage == "disk":
-        db = Database(storage="disk", storage_path=str(path),
-                      encode=encode, options=options)
+        db = Database(storage="disk", storage_path=str(path), encode=encode)
     else:
-        db = Database(encode=encode, options=options)
+        db = Database(encode=encode)
     db.create_table("reads", READS_SCHEMA)
     db.load("reads", _reads_rows())
     db.create_table("dim", DIM_SCHEMA)

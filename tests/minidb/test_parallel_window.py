@@ -6,7 +6,7 @@ be byte-identical to the serial path, and the path must degrade
 gracefully (small inputs, REPRO_WORKERS unset / 0 / junk).
 """
 
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.parallel import configured_worker_count
 from repro.minidb.plan import shard
 
@@ -26,7 +26,7 @@ FILTER_SQL = "select g, t, v from w where v >= 40"
 
 
 def make_db(rows):
-    db = Database(options=PlannerOptions(parallel_windows=True))
+    db = Database()
     db.create_table("w", SCHEMA)
     db.load("w", rows)
     return db

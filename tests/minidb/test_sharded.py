@@ -10,7 +10,7 @@ pool degrades to serial pass-through, never to an error.
 
 import pytest
 
-from repro.minidb import Database, PlannerOptions, SqlType, TableSchema
+from repro.minidb import Database, SqlType, TableSchema
 from repro.minidb.codegen import CompiledSpineOp
 from repro.minidb.plan import shard
 from repro.minidb.plan.shard import ExchangeOp
@@ -40,7 +40,7 @@ def big_rows(partitions=64, per_partition=80):
 
 
 def make_db(rows):
-    db = Database(options=PlannerOptions(parallel_windows=True))
+    db = Database()
     db.create_table("reads", SCHEMA)
     db.load("reads", rows)
     return db
